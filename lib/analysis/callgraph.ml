@@ -401,3 +401,29 @@ let resolve t ~(caller : func) comps =
 
 let find t key = Hashtbl.find_opt t.funcs key
 let iter_funcs f t = List.iter (fun k -> f (Hashtbl.find t.funcs k)) t.keys
+
+(* [reachable t ~roots] is the membership test of the set of functions
+   reachable from those satisfying [roots] (roots included) through
+   resolved call edges — a BFS. The traversal ignores path policy (a
+   helper in an exempt file still carries the path into enforced
+   code); rules apply policy and allows where a finding would land. *)
+let reachable t ~roots =
+  let seen = Hashtbl.create 64 in
+  let queue = Queue.create () in
+  let visit f =
+    if not (Hashtbl.mem seen f.fn_key) then begin
+      Hashtbl.replace seen f.fn_key ();
+      Queue.add f queue
+    end
+  in
+  iter_funcs (fun f -> if roots f then visit f) t;
+  while not (Queue.is_empty queue) do
+    let f = Queue.pop queue in
+    List.iter
+      (fun ev ->
+        List.iter
+          (fun key -> match find t key with Some callee -> visit callee | None -> ())
+          (resolve t ~caller:f ev.comps))
+      f.events
+  done;
+  fun f -> Hashtbl.mem seen f.fn_key

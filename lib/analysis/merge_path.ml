@@ -30,38 +30,11 @@ let is_merge_root name =
   scan 0
 
 let qs017 (cg : Callgraph.t) (sums : Effects.summaries) : Lint.finding list =
-  (* Reachable set: BFS from the merge roots over resolved call edges.
-     Traversal ignores path policy (a helper in an exempt file still
-     carries the path into enforced code); policy and allows apply
-     where a finding would land. *)
-  let reachable = Hashtbl.create 64 in
-  let queue = Queue.create () in
-  Callgraph.iter_funcs
-    (fun f ->
-      if is_merge_root f.Callgraph.fn_name then begin
-        Hashtbl.replace reachable f.Callgraph.fn_key f;
-        Queue.add f queue
-      end)
-    cg;
-  while not (Queue.is_empty queue) do
-    let f = Queue.pop queue in
-    List.iter
-      (fun (ev : Callgraph.event) ->
-        List.iter
-          (fun key ->
-            if not (Hashtbl.mem reachable key) then
-              match Callgraph.find cg key with
-              | Some callee ->
-                Hashtbl.replace reachable key callee;
-                Queue.add callee queue
-              | None -> ())
-          (Callgraph.resolve cg ~caller:f ev.Callgraph.comps))
-      f.Callgraph.events
-  done;
+  let reachable = Callgraph.reachable cg ~roots:(fun f -> is_merge_root f.Callgraph.fn_name) in
   let findings = ref [] in
   Callgraph.iter_funcs
     (fun f ->
-      if Hashtbl.mem reachable f.Callgraph.fn_key then begin
+      if reachable f then begin
         (* Page-lock acquisitions (transitive, via the event's effect
            summary) armed since the last release or blocking point;
            each is reported at most once, at its own site. *)

@@ -26,39 +26,14 @@ let root_names =
   ; "materialize" ]
 
 let qs016 (cg : Callgraph.t) (_sums : Effects.summaries) : Lint.finding list =
-  (* Reachable set: BFS from the roots over resolved call edges. The
-     traversal itself ignores path policy (a helper in an exempt file
-     still carries the path into enforced code); policy and allows are
-     applied where a finding would land. *)
-  let reachable = Hashtbl.create 64 in
-  let queue = Queue.create () in
-  Callgraph.iter_funcs
-    (fun f ->
-      if List.mem f.Callgraph.fn_name root_names then begin
-        Hashtbl.replace reachable f.Callgraph.fn_key f;
-        Queue.add f queue
-      end)
-    cg;
-  while not (Queue.is_empty queue) do
-    let f = Queue.pop queue in
-    List.iter
-      (fun (ev : Callgraph.event) ->
-        List.iter
-          (fun key ->
-            if not (Hashtbl.mem reachable key) then
-              match Callgraph.find cg key with
-              | Some callee ->
-                Hashtbl.replace reachable key callee;
-                Queue.add callee queue
-              | None -> ())
-          (Callgraph.resolve cg ~caller:f ev.Callgraph.comps))
-      f.Callgraph.events
-  done;
+  let reachable =
+    Callgraph.reachable cg ~roots:(fun f -> List.mem f.Callgraph.fn_name root_names)
+  in
   let findings = ref [] in
   Callgraph.iter_funcs
     (fun f ->
       if
-        Hashtbl.mem reachable f.Callgraph.fn_key
+        reachable f
         && Lint.rule_applies ~path:f.Callgraph.fn_file "QS016"
         && not (List.mem "QS016" f.Callgraph.fn_allows)
       then

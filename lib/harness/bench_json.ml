@@ -1,14 +1,24 @@
-(** Machine-readable OO7 results: the bench-shape baseline.
+(** The committed [BENCH_*.json] baselines, as one regime table.
 
-    [render] serializes a set of suites (per-system, per-operation
-    simulated times, I/O counts, fault counts, plus the win/loss
-    ordering of the systems on each operation) as deterministic JSON:
-    floats print as the shortest round-tripping decimal, so the file
-    is byte-stable run to run and any change to the committed
-    [BENCH_oo7.json] baseline is a real change in bench shape.
-    [small_suites] builds exactly the systems and operations
-    [bench/main.exe] uses for the small database, so the CI gate and
-    the bench agree on what the baseline is. *)
+    Each baseline file is one {!regime}: a file name, its header
+    labels, a seed and a workload — an OO7 suite (database × systems ×
+    ops × hot_reps), a list of {!Mc.run} argument sets, or the index
+    scales. [regimes] lists them all. [test/test_bench_json.ml] renders
+    every regime and byte-compares it with the committed file;
+    [bench/main.exe] prints every regime as a table and, with [--json],
+    writes its file. Adding a baseline means adding one entry to
+    [regimes].
+
+    Measurements are memoised by their inputs, so each distinct
+    measurement runs once per process: the stock small-database E
+    suite ranks against the prefetch and diff-ship QS suites in their
+    [orderings], and the 4-client [Mc.run] feeds both the multi and the
+    callback file.
+
+    Everything recorded is simulated and deterministic, and floats
+    print as the shortest round-tripping decimal, so a file is
+    byte-stable run to run and any change to a committed baseline is a
+    real change in bench shape. *)
 
 module Exp = Experiments
 
@@ -21,342 +31,276 @@ let json_float f =
 
 let json_string s = "\"" ^ String.concat "\\\"" (String.split_on_char '"' s) ^ "\""
 
-(* [extra] appends suite-specific "key":value pairs to each op object
-   (the diff-ship baseline adds its region-ship counters); the default
-   appends nothing, so the shared baselines' bytes are untouched. *)
-let op_json ?(extra = fun (_ : System.run_result) -> []) (op, (r : System.run_result)) =
-  let m = r.System.cold in
-  let field k v = Printf.sprintf "\"%s\":%s" k v in
-  let opt_ms = function Some (m : Measure.t) -> json_float m.Measure.ms | None -> "null" in
-  "{"
-  ^ String.concat ","
-      ([ field "op" (json_string op)
-      ; field "cold_ms" (json_float m.Measure.ms)
-      ; field "hot_ms" (opt_ms r.System.hot)
-      ; field "commit_ms" (opt_ms r.System.commit)
-      ; field "result" (string_of_int m.Measure.result)
-      ; field "reads" (string_of_int m.Measure.client_reads)
-      ; field "reads_data" (string_of_int m.Measure.reads_data)
-      ; field "reads_map" (string_of_int m.Measure.reads_map)
-      ; field "reads_index" (string_of_int m.Measure.reads_index)
-      ; field "writes" (string_of_int m.Measure.client_writes)
-      ; field "commit_writes"
-          (string_of_int
-             (match r.System.commit with Some c -> c.Measure.client_writes | None -> 0))
-      ; field "faults" (string_of_int r.System.cold_faults) ]
-       @ extra r)
-  ^ "}"
+(* ------------------------------------------------------------------ *)
+(* JSON values, one printer.                                           *)
 
-let suite_json ?extra (s : Exp.suite) =
-  Printf.sprintf "{\"name\":%s,\"db_mb\":%s,\"ops\":[%s]}"
-    (json_string s.Exp.sys.System.name)
-    (json_float (s.Exp.sys.System.db_size_mb ()))
-    (String.concat "," (List.map (op_json ?extra) s.Exp.results))
+type json =
+  | Null
+  | Bool of bool
+  | Int of int
+  | Float of float
+  | Str of string
+  | List of json list
+  | Obj of (string * json) list
+
+let rec to_string = function
+  | Null -> "null"
+  | Bool b -> string_of_bool b
+  | Int i -> string_of_int i
+  | Float f -> json_float f
+  | Str s -> json_string s
+  | List l -> "[" ^ String.concat "," (List.map to_string l) ^ "]"
+  | Obj fields ->
+    let field (k, v) = json_string k ^ ":" ^ to_string v in
+    "{" ^ String.concat "," (List.map field fields) ^ "}"
+
+(* ------------------------------------------------------------------ *)
+(* Workloads.                                                          *)
+
+(** An OO7 system, by configuration: E has no configuration knobs the
+    baselines vary ([System.make_e] takes no [Qs_config]), so any
+    QuickStore regime (prefetch, diff shipping, ...) cannot reach it. *)
+type system = Qs of Quickstore.Qs_config.t | E
+
+(** One OO7 suite: a freshly built system running [ops] in order. *)
+type suite = { system : system; database : Oo7.Params.t; ops : string list; hot_reps : int }
+
+type oo7 = {
+  db : Oo7.Params.t;
+  systems : system list;  (** rendered under ["systems"], in this order *)
+  ops : string list;
+  hot_reps : int;
+  rivals : suite list;
+      (** suites from other regimes ranked in ["orderings"] (after
+          [systems]) but not rendered — each number is pinned once *)
+  extra : System.run_result -> (string * json) list;  (** appended to every op object *)
+}
+
+(** One [Mc.run] argument set (the seed is the regime's). *)
+type mc_args = { clients : int; callbacks : bool; read_pct : int; snapshot : bool }
+
+type mc = {
+  runs : mc_args list;
+  fields : string list;  (** per-run fields, by name from [mc_field] *)
+  summary : Mc.stats list -> (string * json) list;  (** header fields before ["runs"] *)
+}
+
+type workload =
+  | Oo7 of oo7
+  | Mc of mc
+  | Index of { log_scales : int list; btree_scales : int list }
+
+type regime = {
+  file : string;
+  title : string;  (** one line for the bench report *)
+  benchmark : string;
+  database : string option;
+  seed : int;
+  workload : workload;
+}
+
+(* ------------------------------------------------------------------ *)
+(* Memoised measurement.                                               *)
+
+let memo tbl key f =
+  match Hashtbl.find_opt tbl key with
+  | Some v -> v
+  | None ->
+    let v = f () in
+    Hashtbl.add tbl key v;
+    v
+
+let suite_memo : (suite * int, Exp.suite) Hashtbl.t = Hashtbl.create 8
+
+(** [run_suite ~seed s] builds [s.system] on [s.database] and runs
+    [s.ops]; the same suite and seed run once per process. *)
+let run_suite ?(progress = fun (_ : string) -> ()) ~seed (s : suite) =
+  memo suite_memo (s, seed) (fun () ->
+      progress (Printf.sprintf "building a %s database..." s.database.Oo7.Params.name);
+      let sys =
+        match s.system with
+        | Qs config -> System.make_qs ~config s.database ~seed
+        | E -> System.make_e s.database ~seed
+      in
+      progress (Printf.sprintf "running %d ops on %s..." (List.length s.ops) sys.System.name);
+      Exp.run_suite ~seed ~hot_reps:s.hot_reps sys ~ops:s.ops)
+
+let mc_memo : (mc_args * int, Mc.stats) Hashtbl.t = Hashtbl.create 8
+
+let run_mc ?(progress = fun (_ : string) -> ()) ~seed (a : mc_args) =
+  memo mc_memo (a, seed) (fun () ->
+      progress
+        (Printf.sprintf "running %d-client contention (callbacks %b, read_pct %d, snapshot %b)..."
+           a.clients a.callbacks a.read_pct a.snapshot);
+      Mc.run ~clients:a.clients ~seed ~callbacks:a.callbacks ~read_pct:a.read_pct
+        ~snapshot:a.snapshot ())
+
+(* ------------------------------------------------------------------ *)
+(* OO7 rows.                                                           *)
+
+let small_ops = Exp.traversal_ops @ Exp.query_ops @ Exp.update_ops
+
+(** [system]'s stock suite on [db]: every op, hot_reps 3, as
+    [BENCH_oo7.json] runs it. Stock QS's is the answer oracle for every
+    OO7 regime on the same database. *)
+let stock_suite system db = { system; database = db; ops = small_ops; hot_reps = 3 }
+
+let qs_default = Qs Quickstore.Qs_config.default
+
+exception Wrong_answer of string
+
+(** Every system must return the same [result] per op as [oracle]
+    (the OO7 code is shared, so a disagreement is a wrong answer, not
+    a cost difference). Ops the oracle did not run are skipped. *)
+let check_answers ~(oracle : Exp.suite) (suites : Exp.suite list) =
+  List.iter
+    (fun (s : Exp.suite) ->
+      List.iter
+        (fun (op, (r : System.run_result)) ->
+          let answer = r.System.cold.Measure.result in
+          match List.assoc_opt op oracle.Exp.results with
+          | Some (o : System.run_result) when o.System.cold.Measure.result <> answer ->
+            raise
+              (Wrong_answer
+                 (Printf.sprintf "%s answers %s with %d, %s with %d" s.Exp.name op answer
+                    oracle.Exp.name o.System.cold.Measure.result))
+          | Some _ | None -> ())
+        s.Exp.results)
+    suites
+
+let op_fields (op, (r : System.run_result)) =
+  let m = r.System.cold in
+  let opt_ms = function Some (m : Measure.t) -> Float m.Measure.ms | None -> Null in
+  [ ("op", Str op)
+  ; ("cold_ms", Float m.Measure.ms)
+  ; ("hot_ms", opt_ms r.System.hot)
+  ; ("commit_ms", opt_ms r.System.commit)
+  ; ("result", Int m.Measure.result)
+  ; ("reads", Int m.Measure.client_reads)
+  ; ("reads_data", Int m.Measure.reads_data)
+  ; ("reads_map", Int m.Measure.reads_map)
+  ; ("reads_index", Int m.Measure.reads_index)
+  ; ("writes", Int m.Measure.client_writes)
+  ; ( "commit_writes"
+    , Int (match r.System.commit with Some c -> c.Measure.client_writes | None -> 0) )
+  ; ("faults", Int r.System.cold_faults) ]
 
 (* Fastest-to-slowest by total response (cold + commit); ties keep the
    suite order. These are the paper's win/loss relationships — the
    part of bench shape that must never drift silently. *)
-let ordering_json (suites : Exp.suite list) op =
+let ordering (suites : Exp.suite list) op =
   let totals =
-    List.map (fun s -> (s.Exp.sys.System.name, System.total_response (Exp.get s op))) suites
+    List.map (fun s -> (s.Exp.name, System.total_response (Exp.get s op))) suites
   in
   let sorted = List.stable_sort (fun (_, a) (_, b) -> compare a b) totals in
-  Printf.sprintf "{\"op\":%s,\"fastest_to_slowest\":[%s]}" (json_string op)
-    (String.concat "," (List.map (fun (n, _) -> json_string n) sorted))
+  Obj [ ("op", Str op); ("fastest_to_slowest", List (List.map (fun (n, _) -> Str n) sorted)) ]
 
-let render ?extra ~benchmark ~database ~seed ~hot_reps (suites : Exp.suite list) =
-  let ops = match suites with [] -> [] | s :: _ -> List.map fst s.Exp.results in
-  Printf.sprintf
-    "{\"benchmark\":%s,\"database\":%s,\"seed\":%d,\"hot_reps\":%d,\"systems\":[%s],\"orderings\":[%s]}\n"
-    (json_string benchmark) (json_string database) seed hot_reps
-    (String.concat "," (List.map (suite_json ?extra) suites))
-    (String.concat "," (List.map (ordering_json suites) ops))
-
-let small_ops = Exp.traversal_ops @ Exp.query_ops @ Exp.update_ops
-
-(* Exactly bench/main.exe's small-database section: QS, E and QS-B on
-   the small parameters, every small op, hot_reps 3. *)
-let small_suites ?(progress = fun (_ : string) -> ()) ~seed () =
-  progress "building small databases (QS, E, QS-B)...";
-  let qs = System.make_qs Oo7.Params.small ~seed in
-  let e = System.make_e Oo7.Params.small ~seed in
-  let qsb =
-    System.make_qs
-      ~config:
-        { Quickstore.Qs_config.default with
-          Quickstore.Qs_config.mode = Quickstore.Qs_config.Big_objects }
-      Oo7.Params.small ~seed
-  in
-  List.map
-    (fun (sys : System.t) ->
-      progress (Printf.sprintf "running small operations on %s..." sys.System.name);
-      Exp.run_suite ~seed ~hot_reps:3 sys ~ops:small_ops)
-    [ qs; e; qsb ]
-
-let render_small ~seed suites = render ~benchmark:"OO7" ~database:"small" ~seed ~hot_reps:3 suites
-
-(* The batched-I/O configuration of the second baseline: fault-time
-   page-run prefetch plus WAL group commit. *)
-let prefetch_config =
-  { Quickstore.Qs_config.default with
-    Quickstore.Qs_config.prefetch_run_max = 8
-  ; Quickstore.Qs_config.group_commit = true }
-
-let small_prefetch_ops = Exp.traversal_ops @ Exp.update_ops
-
-(* The second bench-shape baseline ([BENCH_oo7_prefetch.json]): QS with
-   prefetch + group commit against a stock E control, traversals and
-   updates only (queries are index-driven and gain nothing from run
-   prefetch), hot_reps 1 — hot passes fault nothing, so one rep is
-   enough to pin their shape. E runs untouched: prefetch lives in
-   QuickStore's fault handler and group commit is enabled per-store, so
-   any drift in E's numbers between the two baselines is a bug. *)
-let small_prefetch_suites ?(progress = fun (_ : string) -> ()) ~seed () =
-  progress "building small databases (QS+prefetch, E control)...";
-  let qs = System.make_qs ~config:prefetch_config Oo7.Params.small ~seed in
-  let e = System.make_e Oo7.Params.small ~seed in
-  List.map
-    (fun (sys : System.t) ->
-      progress (Printf.sprintf "running prefetch operations on %s..." sys.System.name);
-      Exp.run_suite ~seed ~hot_reps:1 sys ~ops:small_prefetch_ops)
-    [ qs; e ]
-
-let render_small_prefetch ~seed suites =
-  render ~benchmark:"OO7+prefetch" ~database:"small" ~seed ~hot_reps:1 suites
-
-(* The diff-shipping configuration of the third baseline: commit ships
-   modified byte regions and pipelines them with the WAL force. *)
-let diffship_config =
-  { Quickstore.Qs_config.default with Quickstore.Qs_config.diff_ship = true }
-
-(* T1 rides along as a read-mostly control (its only commit traffic is
-   mapping maintenance); the update operations are where the sparse
-   writes live. *)
-let small_diffship_ops = "T1" :: Exp.update_ops
-
-(* The third bench-shape baseline ([BENCH_oo7_diffship.json]): QS with
-   diff shipping against a stock E control, hot_reps 1. As with the
-   prefetch baseline, E runs untouched — diff shipping is a per-store
-   QuickStore commit path — so E's cold T1 here must stay bit-identical
-   to the small-database baseline. *)
-let small_diffship_suites ?(progress = fun (_ : string) -> ()) ~seed () =
-  progress "building small databases (QS+diffship, E control)...";
-  let qs = System.make_qs ~config:diffship_config Oo7.Params.small ~seed in
-  let e = System.make_e Oo7.Params.small ~seed in
-  List.map
-    (fun (sys : System.t) ->
-      progress (Printf.sprintf "running diff-ship operations on %s..." sys.System.name);
-      Exp.run_suite ~seed ~hot_reps:1 sys ~ops:small_diffship_ops)
-    [ qs; e ]
-
-(* The region-ship counters this baseline exists to pin: how many dirty
-   pages the commit shipped as regions and how many payload bytes that
-   took (0 for E and for read-only ops). *)
-let diffship_extra (r : System.run_result) =
+(* The region-ship counters the diff-ship baseline exists to pin: how
+   many dirty pages the commit shipped as regions and how many payload
+   bytes that took (0 for read-only ops). *)
+let region_ship_fields (r : System.run_result) =
   let ships, bytes =
     match r.System.commit with
     | Some c -> (c.Measure.region_ships, c.Measure.region_bytes)
     | None -> (0, 0)
   in
-  [ Printf.sprintf "\"commit_region_ships\":%d" ships
-  ; Printf.sprintf "\"commit_region_bytes\":%d" bytes ]
-
-let render_small_diffship ~seed suites =
-  render ~extra:diffship_extra ~benchmark:"OO7+diffship" ~database:"small" ~seed ~hot_reps:1 suites
-
-(* The multi-user contention baseline ([BENCH_oo7_multi.json]): the
-   hot-page-skew workload of [Mc] at 1, 2 and 4 simulated clients under
-   the deterministic scheduler, one seed. Unlike the single-user
-   baselines this pins scheduler behavior end to end — commit, retry
-   and lock-wait counts AND the md5 of the Chrome trace — so any drift
-   in the interleaving itself, not just the totals, fails the
-   bench-shape gate. *)
-let multi_client_counts = [ 1; 2; 4 ]
-
-let multi_runs ?(progress = fun (_ : string) -> ()) ~seed () =
-  List.map
-    (fun clients ->
-      progress (Printf.sprintf "running multi-user contention with %d client(s)..." clients);
-      Mc.run ~clients ~seed ())
-    multi_client_counts
-
-let multi_run_json (s : Mc.stats) =
-  let field k v = Printf.sprintf "\"%s\":%s" k v in
-  let per_client =
-    List.map
-      (fun (c : Mc.client_stats) ->
-        Printf.sprintf "{\"name\":%s,\"committed\":%d,\"retries\":%d}" (json_string c.Mc.cs_name)
-          c.Mc.cs_committed c.Mc.cs_retries)
-      s.Mc.per_client
-  in
-  "{"
-  ^ String.concat ","
-      [ field "clients" (string_of_int s.Mc.clients)
-      ; field "txns_per_client" (string_of_int s.Mc.txns_per_client)
-      ; field "committed" (string_of_int s.Mc.committed)
-      ; field "deadlock_retries" (string_of_int s.Mc.deadlock_retries)
-      ; field "lock_waits" (string_of_int s.Mc.lock_waits)
-      ; field "lock_wait_ms" (json_float s.Mc.lock_wait_ms)
-      ; field "retry_ms" (json_float s.Mc.retry_ms)
-      ; field "total_ms" (json_float s.Mc.total_ms)
-      ; field "reads" (string_of_int s.Mc.reads)
-      ; field "writes" (string_of_int s.Mc.writes)
-      ; field "per_client" ("[" ^ String.concat "," per_client ^ "]")
-      ; field "trace_events" (string_of_int s.Mc.trace_events)
-      ; field "trace_digest" (json_string s.Mc.trace_digest) ]
-  ^ "}"
-
-let render_multi ~seed runs =
-  Printf.sprintf "{\"benchmark\":%s,\"database\":%s,\"seed\":%d,\"runs\":[%s]}\n"
-    (json_string "OO7-multi") (json_string "mc-hotskew") seed
-    (String.concat "," (List.map multi_run_json runs))
-
-(* The callback-locking baseline ([BENCH_oo7_callback.json]): the same
-   4-client hot-page workload under both cache-consistency regimes —
-   reset-per-transaction first, then callback locking — so the file
-   quantifies exactly what inter-transaction caching buys: retained
-   hits, server page reads avoided (and the bytes they would have
-   shipped), against what it costs (recall traffic). Both trace
-   digests are pinned, so the gate catches interleaving drift in
-   either regime. *)
-let callback_clients = 4
-
-let callback_runs ?(progress = fun (_ : string) -> ()) ~seed () =
-  List.map
-    (fun callbacks ->
-      progress
-        (Printf.sprintf "running %d-client contention, callback locking %s..." callback_clients
-           (if callbacks then "on" else "off"));
-      Mc.run ~clients:callback_clients ~seed ~callbacks ())
-    [ false; true ]
-
-let callback_run_json (s : Mc.stats) =
-  let field k v = Printf.sprintf "\"%s\":%s" k v in
-  "{"
-  ^ String.concat ","
-      [ field "mode" (json_string (if s.Mc.callbacks then "callback" else "reset"))
-      ; field "clients" (string_of_int s.Mc.clients)
-      ; field "committed" (string_of_int s.Mc.committed)
-      ; field "deadlock_retries" (string_of_int s.Mc.deadlock_retries)
-      ; field "reads" (string_of_int s.Mc.reads)
-      ; field "writes" (string_of_int s.Mc.writes)
-      ; field "retained_hits" (string_of_int s.Mc.retained_hits)
-      ; field "callbacks_sent" (string_of_int s.Mc.callbacks_sent)
-      ; field "callbacks_deferred" (string_of_int s.Mc.callbacks_deferred)
-      ; field "gc_rides" (string_of_int s.Mc.gc_rides)
-      ; field "gc_cross_rides" (string_of_int s.Mc.gc_cross_rides)
-      ; field "total_ms" (json_float s.Mc.total_ms)
-      ; field "trace_digest" (json_string s.Mc.trace_digest) ]
-  ^ "}"
-
-(* The snapshot-read baseline ([BENCH_oo7_snapshot.json]): the same
-   4-client hot-page workload at read_pct 80 under both read regimes —
-   locking scans first (S locks, waits-for graph, wound retries), then
-   MVCC snapshot bodies (no page locks anywhere on the read path) — so
-   the file quantifies exactly what version chains buy: reader lock
-   waits and deadlock retries collapse, while [world_digest] equality
-   proves the writers' committed effects are byte-identical in both
-   regimes (the rng draw sequences are identical and the write
-   partitions disjoint, so any divergence is a correctness bug, not
-   noise). Both trace digests are pinned. *)
-let snapshot_clients = 4
-let snapshot_read_pct = 80
-
-let snapshot_runs ?(progress = fun (_ : string) -> ()) ~seed () =
-  List.map
-    (fun snapshot ->
-      progress
-        (Printf.sprintf "running %d-client read-heavy contention (read_pct %d), %s scans..."
-           snapshot_clients snapshot_read_pct
-           (if snapshot then "snapshot" else "locking"));
-      Mc.run ~clients:snapshot_clients ~seed ~read_pct:snapshot_read_pct ~snapshot ())
-    [ false; true ]
-
-let snapshot_run_json (s : Mc.stats) =
-  let field k v = Printf.sprintf "\"%s\":%s" k v in
-  "{"
-  ^ String.concat ","
-      [ field "mode" (json_string (if s.Mc.snapshot then "snapshot" else "locking"))
-      ; field "clients" (string_of_int s.Mc.clients)
-      ; field "read_pct" (string_of_int s.Mc.read_pct)
-      ; field "committed" (string_of_int s.Mc.committed)
-      ; field "read_txns" (string_of_int s.Mc.read_txns)
-      ; field "deadlock_retries" (string_of_int s.Mc.deadlock_retries)
-      ; field "lock_waits" (string_of_int s.Mc.lock_waits)
-      ; field "lock_wait_ms" (json_float s.Mc.lock_wait_ms)
-      ; field "retry_ms" (json_float s.Mc.retry_ms)
-      ; field "reads" (string_of_int s.Mc.reads)
-      ; field "writes" (string_of_int s.Mc.writes)
-      ; field "snapshot_reads" (string_of_int s.Mc.snapshot_reads)
-      ; field "snapshot_deltas" (string_of_int s.Mc.snapshot_deltas)
-      ; field "snapshot_retries" (string_of_int s.Mc.snapshot_retries)
-      ; field "total_ms" (json_float s.Mc.total_ms)
-      ; field "world_digest" (json_string s.Mc.world_digest)
-      ; field "trace_digest" (json_string s.Mc.trace_digest) ]
-  ^ "}"
-
-let render_snapshot ~seed runs =
-  let find mode =
-    match List.find_opt (fun (s : Mc.stats) -> s.Mc.snapshot = mode) runs with
-    | Some s -> s
-    | None -> invalid_arg "Bench_json.render_snapshot: need one run per regime"
-  in
-  let locking = find false and snap = find true in
-  let summary =
-    String.concat ","
-      [ Printf.sprintf "\"lock_waits_locking\":%d" locking.Mc.lock_waits
-      ; Printf.sprintf "\"lock_waits_snapshot\":%d" snap.Mc.lock_waits
-      ; Printf.sprintf "\"lock_wait_reduction\":%s"
-          (json_float
-             (if snap.Mc.lock_waits = 0 then Float.of_int locking.Mc.lock_waits
-              else float_of_int locking.Mc.lock_waits /. float_of_int snap.Mc.lock_waits))
-      ; Printf.sprintf "\"deadlock_retries_locking\":%d" locking.Mc.deadlock_retries
-      ; Printf.sprintf "\"deadlock_retries_snapshot\":%d" snap.Mc.deadlock_retries
-      ; Printf.sprintf "\"world_digest_equal\":%b"
-          (String.equal locking.Mc.world_digest snap.Mc.world_digest) ]
-  in
-  Printf.sprintf "{\"benchmark\":%s,\"database\":%s,\"seed\":%d,%s,\"runs\":[%s]}\n"
-    (json_string "OO7-snapshot") (json_string "mc-hotskew") seed summary
-    (String.concat "," (List.map snapshot_run_json runs))
-
-let render_callback ~seed runs =
-  let find mode =
-    match List.find_opt (fun (s : Mc.stats) -> s.Mc.callbacks = mode) runs with
-    | Some s -> s
-    | None -> invalid_arg "Bench_json.render_callback: need one run per regime"
-  in
-  let off = find false and on = find true in
-  let reads_saved = off.Mc.reads - on.Mc.reads in
-  let summary =
-    String.concat ","
-      [ Printf.sprintf "\"reads_saved\":%d" reads_saved
-      ; Printf.sprintf "\"read_bytes_saved\":%d" (reads_saved * Esm.Page.page_size)
-      ; Printf.sprintf "\"retained_hit_rate\":%s"
-          (json_float
-             (float_of_int on.Mc.retained_hits
-             /. float_of_int (on.Mc.retained_hits + on.Mc.reads))) ]
-  in
-  Printf.sprintf "{\"benchmark\":%s,\"database\":%s,\"seed\":%d,%s,\"runs\":[%s]}\n"
-    (json_string "OO7-callback") (json_string "mc-hotskew") seed summary
-    (String.concat "," (List.map callback_run_json runs))
+  [ ("commit_region_ships", Int ships); ("commit_region_bytes", Int bytes) ]
 
 (* ------------------------------------------------------------------ *)
-(* The log-index baseline ([BENCH_index.json]): lookup cost must stay
-   flat as the index grows.
+(* Multi-client rows: one table of every [Mc.stats] field a baseline
+   pins; each regime names the fields it renders, in order. *)
+
+let mc_field (s : Mc.stats) = function
+  | "mode" ->
+    Str
+      (if s.Mc.read_pct > 0 then if s.Mc.snapshot then "snapshot" else "locking"
+       else if s.Mc.callbacks then "callback"
+       else "reset")
+  | "clients" -> Int s.Mc.clients
+  | "txns_per_client" -> Int s.Mc.txns_per_client
+  | "read_pct" -> Int s.Mc.read_pct
+  | "committed" -> Int s.Mc.committed
+  | "read_txns" -> Int s.Mc.read_txns
+  | "deadlock_retries" -> Int s.Mc.deadlock_retries
+  | "lock_waits" -> Int s.Mc.lock_waits
+  | "lock_wait_ms" -> Float s.Mc.lock_wait_ms
+  | "retry_ms" -> Float s.Mc.retry_ms
+  | "total_ms" -> Float s.Mc.total_ms
+  | "reads" -> Int s.Mc.reads
+  | "writes" -> Int s.Mc.writes
+  | "retained_hits" -> Int s.Mc.retained_hits
+  | "callbacks_sent" -> Int s.Mc.callbacks_sent
+  | "callbacks_deferred" -> Int s.Mc.callbacks_deferred
+  | "gc_rides" -> Int s.Mc.gc_rides
+  | "gc_cross_rides" -> Int s.Mc.gc_cross_rides
+  | "snapshot_reads" -> Int s.Mc.snapshot_reads
+  | "snapshot_deltas" -> Int s.Mc.snapshot_deltas
+  | "snapshot_retries" -> Int s.Mc.snapshot_retries
+  | "per_client" ->
+    List
+      (List.map
+         (fun (c : Mc.client_stats) ->
+           Obj
+             [ ("name", Str c.Mc.cs_name)
+             ; ("committed", Int c.Mc.cs_committed)
+             ; ("retries", Int c.Mc.cs_retries) ])
+         s.Mc.per_client)
+  | "trace_events" -> Int s.Mc.trace_events
+  | "trace_digest" -> Str s.Mc.trace_digest
+  | "world_digest" -> Str s.Mc.world_digest
+  | f -> invalid_arg ("Bench_json.mc_field: unknown field " ^ f)
+
+let find_run what pred runs =
+  match List.find_opt pred runs with
+  | Some s -> s
+  | None -> invalid_arg ("Bench_json: no " ^ what ^ " run")
+
+(* Callback locking vs reset-per-transaction: what inter-transaction
+   caching buys (retained hits, server page reads avoided and the bytes
+   they would have shipped). *)
+let callback_summary runs =
+  let off = find_run "reset" (fun (s : Mc.stats) -> not s.Mc.callbacks) runs
+  and on = find_run "callback" (fun (s : Mc.stats) -> s.Mc.callbacks) runs in
+  let reads_saved = off.Mc.reads - on.Mc.reads in
+  [ ("reads_saved", Int reads_saved)
+  ; ("read_bytes_saved", Int (reads_saved * Esm.Page.page_size))
+  ; ( "retained_hit_rate"
+    , Float
+        (float_of_int on.Mc.retained_hits /. float_of_int (on.Mc.retained_hits + on.Mc.reads)) ) ]
+
+(* Snapshot scans vs locking scans: reader lock waits and deadlock
+   retries collapse, and [world_digest_equal] proves the writers'
+   committed effects are byte-identical in both regimes (the rng draw
+   sequences are identical and the write partitions disjoint, so a
+   divergence is a correctness bug, not noise). *)
+let snapshot_summary runs =
+  let locking = find_run "locking" (fun (s : Mc.stats) -> not s.Mc.snapshot) runs
+  and snap = find_run "snapshot" (fun (s : Mc.stats) -> s.Mc.snapshot) runs in
+  [ ("lock_waits_locking", Int locking.Mc.lock_waits)
+  ; ("lock_waits_snapshot", Int snap.Mc.lock_waits)
+  ; ( "lock_wait_reduction"
+    , Float
+        (if snap.Mc.lock_waits = 0 then Float.of_int locking.Mc.lock_waits
+         else float_of_int locking.Mc.lock_waits /. float_of_int snap.Mc.lock_waits) )
+  ; ("deadlock_retries_locking", Int locking.Mc.deadlock_retries)
+  ; ("deadlock_retries_snapshot", Int snap.Mc.deadlock_retries)
+  ; ("world_digest_equal", Bool (String.equal locking.Mc.world_digest snap.Mc.world_digest)) ]
+
+(* ------------------------------------------------------------------ *)
+(* The log-index baseline: lookup cost must stay flat as the index
+   grows.
 
    For each scale the run builds a fresh index — the log-structured
    [Esm.Log_index] at 10^4..10^6 bindings, the B-tree oracle (with a
    small fan-out, so depth growth is visible at bench scale) at
    10^4..10^5 — and then measures a fixed number of cold lookups:
    client cache dropped before every probe, so each one pays the full
-   root-to-binding path. Everything recorded is simulated and
-   deterministic (Simclock microseconds and server read counters, no
-   wall clock), so the file is byte-stable and sits behind the same
-   CI shape gate as the OO7 baselines. The summary pins the tentpole
-   claim directly: the ratio of the slowest to the fastest log-index
-   lookup across two decades of growth ([log_lookup_spread]) must
-   stay under 2, while the B-tree's per-lookup reads grow with
-   depth. *)
+   root-to-binding path. Everything recorded is simulated (Simclock
+   microseconds and server read counters, no wall clock). The summary
+   pins the claim directly: the ratio of the slowest to the fastest
+   log-index lookup across two decades of growth
+   ([log_lookup_spread]) must stay under 2, while the B-tree's
+   per-lookup reads grow with depth. *)
 
 let index_klen = 8
 let index_log_pages = 256
@@ -372,9 +316,6 @@ type index_run = {
   ir_generation : int;  (* merges folded (0 for the B-tree) *)
   ir_log_len : int;  (* unmerged log tail (0 for the B-tree) *)
 }
-
-let index_scales_log = [ 10_000; 100_000; 1_000_000 ]
-let index_scales_btree = [ 10_000; 100_000 ]
 
 (* One measured build+probe: [insert] and [lookup] close over whichever
    index is under test. Inserts run in committed batches with a
@@ -431,93 +372,267 @@ let index_measure ?settle ~server ~client ~n ~insert ~lookup () =
 
 let index_oid i = Esm.Oid.make ~page:(1 + (i / 8)) ~slot:(i mod 8) ~unique:i ()
 
-let index_runs ?(progress = fun (_ : string) -> ()) ~seed () =
-  let ikey = Esm.Btree.key_of_int ~klen:index_klen in
-  let log_run n =
-    progress (Printf.sprintf "building log index with %d bindings..." n);
-    let server =
-      Esm.Server.create ~frames:512 ~clock:(Simclock.Clock.create ())
-        ~cm:Simclock.Cost_model.default ()
-    in
-    let client = Esm.Client.create ~frames:1536 server in
-    Esm.Client.begin_txn client;
-    let idx = Esm.Log_index.create ~log_pages:index_log_pages client ~klen:index_klen in
-    Esm.Client.commit client;
-    let insert i = Esm.Log_index.insert idx ~key:(ikey i) ~oid:(index_oid i) in
-    let lookup i = Esm.Log_index.lookup idx ~key:(ikey i) <> None in
-    let insert_us, lookup_us, lookup_reads =
-      index_measure ~server ~client ~n ~insert ~lookup
-        ~settle:(fun () -> Esm.Log_index.merge ~force:true idx) ()
-    in
-    Esm.Client.begin_txn client;
-    let st = Esm.Log_index.stats idx in
-    Esm.Client.commit client;
-    { ir_system = "log"
-    ; ir_n = n
-    ; ir_insert_us = insert_us
-    ; ir_lookup_us = lookup_us
-    ; ir_lookup_reads = lookup_reads
-    ; ir_generation = st.Esm.Log_index.generation
-    ; ir_log_len = st.Esm.Log_index.log_len }
+let index_server () =
+  let server =
+    Esm.Server.create ~frames:512 ~clock:(Simclock.Clock.create ())
+      ~cm:Simclock.Cost_model.default ()
   in
-  let btree_run n =
-    progress (Printf.sprintf "building b-tree with %d bindings..." n);
-    let server =
-      Esm.Server.create ~frames:512 ~clock:(Simclock.Clock.create ())
-        ~cm:Simclock.Cost_model.default ()
-    in
-    let client = Esm.Client.create ~frames:1536 server in
-    Esm.Btree.install_undo_handler client;
-    Esm.Client.begin_txn client;
-    let bt = Esm.Btree.create ~cap:index_btree_cap client ~klen:index_klen in
-    Esm.Client.commit client;
-    let insert i = Esm.Btree.insert bt ~key:(ikey i) ~oid:(index_oid i) in
-    let lookup i = Esm.Btree.lookup_all bt ~key:(ikey i) <> [] in
-    let insert_us, lookup_us, lookup_reads =
-      index_measure ~server ~client ~n ~insert ~lookup ()
-    in
-    { ir_system = "btree"
-    ; ir_n = n
-    ; ir_insert_us = insert_us
-    ; ir_lookup_us = lookup_us
-    ; ir_lookup_reads = lookup_reads
-    ; ir_generation = 0
-    ; ir_log_len = 0 }
+  (server, Esm.Client.create ~frames:1536 server)
+
+let ikey = Esm.Btree.key_of_int ~klen:index_klen
+
+let log_index_run ~progress n =
+  progress (Printf.sprintf "building log index with %d bindings..." n);
+  let server, client = index_server () in
+  Esm.Client.begin_txn client;
+  let idx = Esm.Log_index.create ~log_pages:index_log_pages client ~klen:index_klen in
+  Esm.Client.commit client;
+  let insert i = Esm.Log_index.insert idx ~key:(ikey i) ~oid:(index_oid i) in
+  let lookup i = Esm.Log_index.lookup idx ~key:(ikey i) <> None in
+  let insert_us, lookup_us, lookup_reads =
+    index_measure ~server ~client ~n ~insert ~lookup
+      ~settle:(fun () -> Esm.Log_index.merge ~force:true idx) ()
   in
-  ignore seed;
-  let logs = List.map log_run index_scales_log in
-  let btrees = List.map btree_run index_scales_btree in
-  logs @ btrees
+  Esm.Client.begin_txn client;
+  let st = Esm.Log_index.stats idx in
+  Esm.Client.commit client;
+  { ir_system = "log"
+  ; ir_n = n
+  ; ir_insert_us = insert_us
+  ; ir_lookup_us = lookup_us
+  ; ir_lookup_reads = lookup_reads
+  ; ir_generation = st.Esm.Log_index.generation
+  ; ir_log_len = st.Esm.Log_index.log_len }
 
-let index_run_json r =
-  "{"
-  ^ String.concat ","
-      [ Printf.sprintf "\"system\":%s" (json_string r.ir_system)
-      ; Printf.sprintf "\"n\":%d" r.ir_n
-      ; Printf.sprintf "\"insert_us\":%s" (json_float r.ir_insert_us)
-      ; Printf.sprintf "\"lookup_us\":%s" (json_float r.ir_lookup_us)
-      ; Printf.sprintf "\"lookup_reads\":%s" (json_float r.ir_lookup_reads)
-      ; Printf.sprintf "\"generation\":%d" r.ir_generation
-      ; Printf.sprintf "\"log_len\":%d" r.ir_log_len ]
-  ^ "}"
+let btree_index_run ~progress n =
+  progress (Printf.sprintf "building b-tree with %d bindings..." n);
+  let server, client = index_server () in
+  Esm.Btree.install_undo_handler client;
+  Esm.Client.begin_txn client;
+  let bt = Esm.Btree.create ~cap:index_btree_cap client ~klen:index_klen in
+  Esm.Client.commit client;
+  let insert i = Esm.Btree.insert bt ~key:(ikey i) ~oid:(index_oid i) in
+  let lookup i = Esm.Btree.lookup_all bt ~key:(ikey i) <> [] in
+  let insert_us, lookup_us, lookup_reads = index_measure ~server ~client ~n ~insert ~lookup () in
+  { ir_system = "btree"
+  ; ir_n = n
+  ; ir_insert_us = insert_us
+  ; ir_lookup_us = lookup_us
+  ; ir_lookup_reads = lookup_reads
+  ; ir_generation = 0
+  ; ir_log_len = 0 }
 
-let render_index ~seed runs =
+let index_fields r =
+  [ ("system", Str r.ir_system)
+  ; ("n", Int r.ir_n)
+  ; ("insert_us", Float r.ir_insert_us)
+  ; ("lookup_us", Float r.ir_lookup_us)
+  ; ("lookup_reads", Float r.ir_lookup_reads)
+  ; ("generation", Int r.ir_generation)
+  ; ("log_len", Int r.ir_log_len) ]
+
+let index_summary runs =
   let log_runs = List.filter (fun r -> r.ir_system = "log") runs in
   let spread sel =
-    let vs = List.map sel log_runs in
-    match vs with
+    match List.map sel log_runs with
     | [] -> 0.0
-    | v :: _ -> List.fold_left Float.max v vs /. List.fold_left Float.min v vs
+    | v :: _ as vs -> List.fold_left Float.max v vs /. List.fold_left Float.min v vs
   in
-  let summary =
-    String.concat ","
-      [ Printf.sprintf "\"log_lookup_spread\":%s" (json_float (spread (fun r -> r.ir_lookup_us)))
-      ; Printf.sprintf "\"log_lookup_reads_spread\":%s"
-          (json_float (spread (fun r -> r.ir_lookup_reads)))
-      ; Printf.sprintf "\"log_lookup_flat_2x\":%b" (spread (fun r -> r.ir_lookup_us) < 2.0) ]
+  [ ("klen", Int index_klen)
+  ; ("log_pages", Int index_log_pages)
+  ; ("btree_cap", Int index_btree_cap)
+  ; ("lookups", Int index_lookup_count)
+  ; ("log_lookup_spread", Float (spread (fun r -> r.ir_lookup_us)))
+  ; ("log_lookup_reads_spread", Float (spread (fun r -> r.ir_lookup_reads)))
+  ; ("log_lookup_flat_2x", Bool (spread (fun r -> r.ir_lookup_us) < 2.0)) ]
+
+(* ------------------------------------------------------------------ *)
+(* The regime table.                                                   *)
+
+let small = Oo7.Params.small
+let no_extra (_ : System.run_result) = []
+
+module Qc = Quickstore.Qs_config
+
+let qs_b = Qs { Qc.default with Qc.mode = Qc.Big_objects }
+
+(** The stock small-database E suite: rendered once, in
+    [BENCH_oo7.json], and ranked as the E rival of the variant QS
+    regimes. *)
+let stock_e = stock_suite E small
+
+let seed = 1234
+
+let mc4 ?(callbacks = false) ?(read_pct = 0) ?(snapshot = false) () =
+  { clients = 4; callbacks; read_pct; snapshot }
+
+let regimes =
+  [ { file = "BENCH_oo7.json"
+    ; title = "OO7 small database: QS, E and QS-B, every op, hot_reps 3"
+    ; benchmark = "OO7"
+    ; database = Some "small"
+    ; seed
+    ; workload =
+        Oo7
+          { db = small
+          ; systems = [ qs_default; E; qs_b ]
+          ; ops = small_ops
+          ; hot_reps = 3
+          ; rivals = []
+          ; extra = no_extra } }
+  ; { file = "BENCH_oo7_prefetch.json"
+    ; title =
+        "QS with fault-time page-run prefetch (run max 8) + WAL group commit, traversals and \
+         updates, ranked against stock E"
+    ; benchmark = "OO7+prefetch"
+    ; database = Some "small"
+    ; seed
+    ; workload =
+        Oo7
+          { db = small
+          ; systems =
+              [ Qs { Qc.default with Qc.prefetch_run_max = 8; Qc.group_commit = true } ]
+          ; ops = Exp.traversal_ops @ Exp.update_ops
+          ; hot_reps = 1
+          ; rivals = [ stock_e ]
+          ; extra = no_extra } }
+  ; { file = "BENCH_oo7_diffship.json"
+    ; title =
+        "QS with the diff-shipping commit (region ships + WAL-force pipelining), T1 and updates, \
+         ranked against stock E"
+    ; benchmark = "OO7+diffship"
+    ; database = Some "small"
+    ; seed
+    ; workload =
+        Oo7
+          { db = small
+          ; systems = [ Qs { Qc.default with Qc.diff_ship = true } ]
+          ; ops = "T1" :: Exp.update_ops
+          ; hot_reps = 1
+          ; rivals = [ stock_e ]
+          ; extra = region_ship_fields } }
+  ; { file = "BENCH_oo7_multi.json"
+    ; title =
+        "Multi-user hot-page contention at 1, 2 and 4 clients (trace digest pins the interleaving)"
+    ; benchmark = "OO7-multi"
+    ; database = Some "mc-hotskew"
+    ; seed
+    ; workload =
+        Mc
+          { runs = List.map (fun clients -> { (mc4 ()) with clients }) [ 1; 2; 4 ]
+          ; fields =
+              [ "clients"; "txns_per_client"; "committed"; "deadlock_retries"; "lock_waits"
+              ; "lock_wait_ms"; "retry_ms"; "total_ms"; "reads"; "writes"; "per_client"
+              ; "trace_events"; "trace_digest" ]
+          ; summary = (fun _ -> []) } }
+  ; { file = "BENCH_oo7_callback.json"
+    ; title = "4 clients under reset-per-transaction vs callback locking"
+    ; benchmark = "OO7-callback"
+    ; database = Some "mc-hotskew"
+    ; seed
+    ; workload =
+        Mc
+          { runs = [ mc4 (); mc4 ~callbacks:true () ]
+          ; fields =
+              [ "mode"; "clients"; "committed"; "deadlock_retries"; "reads"; "writes"
+              ; "retained_hits"; "callbacks_sent"; "callbacks_deferred"; "gc_rides"
+              ; "gc_cross_rides"; "total_ms"; "trace_digest" ]
+          ; summary = callback_summary } }
+  ; { file = "BENCH_oo7_snapshot.json"
+    ; title = "4 clients, 80% read-only scans, locking scans vs MVCC snapshot scans"
+    ; benchmark = "OO7-snapshot"
+    ; database = Some "mc-hotskew"
+    ; seed
+    ; workload =
+        Mc
+          { runs = [ mc4 ~read_pct:80 (); mc4 ~read_pct:80 ~snapshot:true () ]
+          ; fields =
+              [ "mode"; "clients"; "read_pct"; "committed"; "read_txns"; "deadlock_retries"
+              ; "lock_waits"; "lock_wait_ms"; "retry_ms"; "reads"; "writes"; "snapshot_reads"
+              ; "snapshot_deltas"; "snapshot_retries"; "total_ms"; "world_digest"
+              ; "trace_digest" ]
+          ; summary = snapshot_summary } }
+  ; { file = "BENCH_index.json"
+    ; title =
+        "200 cold lookups per scale: log-structured index (flat) vs small-fan-out B-tree (depth)"
+    ; benchmark = "index"
+    ; database = None
+    ; seed
+    ; workload =
+        Index { log_scales = [ 10_000; 100_000; 1_000_000 ]; btree_scales = [ 10_000; 100_000 ] }
+    } ]
+
+(* ------------------------------------------------------------------ *)
+(* Measuring and rendering a regime.                                   *)
+
+type measured = {
+  doc : json;  (** the whole file *)
+  rows : (string * json) list list;  (** flat per-row fields, for the bench table *)
+  summary : (string * json) list;  (** header fields derived from the rows *)
+}
+
+let measure ?(progress = fun (_ : string) -> ()) (r : regime) =
+  let header =
+    (("benchmark", Str r.benchmark)
+     :: (match r.database with Some d -> [ ("database", Str d) ] | None -> []))
+    @ [ ("seed", Int r.seed) ]
   in
-  Printf.sprintf
-    "{\"benchmark\":%s,\"seed\":%d,\"klen\":%d,\"log_pages\":%d,\"btree_cap\":%d,\"lookups\":%d,%s,\"runs\":[%s]}\n"
-    (json_string "index") seed index_klen index_log_pages index_btree_cap index_lookup_count
-    summary
-    (String.concat "," (List.map index_run_json runs))
+  let with_runs ~summary rows =
+    { doc = Obj (header @ summary @ [ ("runs", List (List.map (fun f -> Obj f) rows)) ])
+    ; rows
+    ; summary }
+  in
+  match r.workload with
+  | Oo7 w ->
+    let run = run_suite ~progress ~seed:r.seed in
+    let suites =
+      List.map
+        (fun system -> run { system; database = w.db; ops = w.ops; hot_reps = w.hot_reps })
+        w.systems
+    in
+    let rivals = List.map run w.rivals in
+    check_answers ~oracle:(run (stock_suite qs_default w.db)) (suites @ rivals);
+    let op_obj op_r = op_fields op_r @ w.extra (snd op_r) in
+    let system_json (s : Exp.suite) =
+      Obj
+        [ ("name", Str s.Exp.name)
+        ; ("db_mb", Float s.Exp.db_mb)
+        ; ("ops", List (List.map (fun op_r -> Obj (op_obj op_r)) s.Exp.results)) ]
+    in
+    { doc =
+        Obj
+          (header
+          @ [ ("hot_reps", Int w.hot_reps)
+            ; ("systems", List (List.map system_json suites))
+            ; ("orderings", List (List.map (ordering (suites @ rivals)) w.ops)) ])
+    ; rows =
+        List.concat_map
+          (fun (s : Exp.suite) ->
+            List.map (fun op_r -> ("system", Str s.Exp.name) :: op_obj op_r) s.Exp.results)
+          suites
+    ; summary = [] }
+  | Mc m ->
+    let runs = List.map (run_mc ~progress ~seed:r.seed) m.runs in
+    with_runs ~summary:(m.summary runs)
+      (List.map (fun s -> List.map (fun f -> (f, mc_field s f)) m.fields) runs)
+  | Index { log_scales; btree_scales } ->
+    let logs = List.map (log_index_run ~progress) log_scales in
+    let btrees = List.map (btree_index_run ~progress) btree_scales in
+    let runs = logs @ btrees in
+    with_runs ~summary:(index_summary runs) (List.map index_fields runs)
+
+(** The committed file's exact bytes. *)
+let render m = to_string m.doc ^ "\n"
+
+(** A plain-text table of the regime's rows (list-valued fields are
+    left to the JSON), followed by its summary fields. *)
+let table (r : regime) m =
+  let cell = function
+    | Float f -> Printf.sprintf "%.1f" f
+    | Str s -> s
+    | (Null | Bool _ | Int _ | List _ | Obj _) as v -> to_string v
+  in
+  let rows = List.map (List.filter (function _, (List _ | Obj _) -> false | _ -> true)) m.rows in
+  let header = match rows with [] -> [] | row :: _ -> List.map fst row in
+  Report.render ~title:r.title ~header ~rows:(List.map (List.map (fun (_, v) -> cell v)) rows)
+  ^ String.concat "" (List.map (fun (k, v) -> Printf.sprintf "%s: %s\n" k (to_string v)) m.summary)

@@ -8,20 +8,22 @@
 module Clock = Simclock.Clock
 module Cat = Simclock.Category
 
-type suite = { sys : System.t; results : (string * System.run_result) list }
+(* A suite is a finished measurement: the system is not kept, so a
+   caller holding many suites does not hold their stores and logs. *)
+type suite = { name : string; db_mb : float; results : (string * System.run_result) list }
 
 let traversal_ops = [ "T1"; "T6"; "T7"; "T8"; "T9" ]
 let query_ops = [ "Q1"; "Q2"; "Q3"; "Q4"; "Q5" ]
 let update_ops = [ "T2A"; "T2B"; "T2C"; "T3A"; "T3B"; "T3C" ]
 
 let run_suite ?(seed = 1234) ?(hot_reps = 3) (sys : System.t) ~ops =
-  { sys
-  ; results = List.map (fun op -> (op, sys.System.run ~op ~seed ~hot_reps)) ops }
+  let results = List.map (fun op -> (op, sys.System.run ~op ~seed ~hot_reps)) ops in
+  { name = sys.System.name; db_mb = sys.System.db_size_mb (); results }
 
 let get suite op =
   match List.assoc_opt op suite.results with
   | Some r -> r
-  | None -> invalid_arg (Printf.sprintf "Experiments: op %s not in suite for %s" op suite.sys.System.name)
+  | None -> invalid_arg (Printf.sprintf "Experiments: op %s not in suite for %s" op suite.name)
 
 let cold_ms suite op = (get suite op).System.cold.Measure.ms
 let cold_io suite op = (get suite op).System.cold.Measure.client_reads
@@ -31,12 +33,12 @@ let hot_ms suite op =
 
 (* ------------------------------------------------------------------ *)
 
-let table2 ~(small : System.t list) ~(medium : System.t list) =
-  let find name l = List.find_opt (fun s -> String.equal s.System.name name) l in
+let table2 ~(small : suite list) ~(medium : suite list) =
+  let find name l = List.find_opt (fun s -> String.equal s.name name) l in
   let rows =
     List.map
       (fun (name, p_small, p_med) ->
-        let m l = match find name l with Some s -> Report.f1 (s.System.db_size_mb ()) | None -> "-" in
+        let m l = match find name l with Some s -> Report.f1 s.db_mb | None -> "-" in
         [ name; m small; Report.f1 p_small; m medium; Report.f1 p_med ])
       Paper_data.table2
   in
@@ -45,14 +47,14 @@ let table2 ~(small : System.t list) ~(medium : System.t list) =
     ~rows
 
 let times_figure ?(fmt = Report.seconds) ~title ~ops ~value suites =
-  let header = "op" :: List.concat_map (fun s -> [ s.sys.System.name ^ " (s)" ]) suites in
+  let header = "op" :: List.concat_map (fun s -> [ s.name ^ " (s)" ]) suites in
   let rows = List.map (fun op -> op :: List.map (fun s -> fmt (value s op)) suites) ops in
   Report.render ~title ~header ~rows
 
 let io_table ~title ~ops ~paper suites =
   let header =
     "op"
-    :: List.concat_map (fun s -> [ s.sys.System.name; "paper" ]) suites
+    :: List.concat_map (fun s -> [ s.name; "paper" ]) suites
   in
   let paper_io sysname op =
     match List.assoc_opt sysname paper with
@@ -64,7 +66,7 @@ let io_table ~title ~ops ~paper suites =
       (fun op ->
         op
         :: List.concat_map
-             (fun s -> [ string_of_int (cold_io s op); paper_io s.sys.System.name op ])
+             (fun s -> [ string_of_int (cold_io s op); paper_io s.name op ])
              suites)
       ops
   in
@@ -98,11 +100,11 @@ let table5 suites =
     List.map
       (fun s ->
         let paper =
-          List.assoc_opt s.sys.System.name
+          List.assoc_opt s.name
             (List.map (fun (n, a, b) -> (n, (a, b))) Paper_data.table5)
         in
         let pt1, pt6 = match paper with Some (a, b) -> (Report.f1 a, Report.f1 b) | None -> ("-", "-") in
-        [ s.sys.System.name
+        [ s.name
         ; Report.f1 (per_fault s "T1")
         ; pt1
         ; Report.f1 (per_fault s "T6")
@@ -149,7 +151,7 @@ let table6 (qs : suite) =
     ~rows
 
 let fig10 suites =
-  let header = "op" :: List.map (fun s -> s.sys.System.name ^ " (s)") suites in
+  let header = "op" :: List.map (fun s -> s.name ^ " (s)") suites in
   let rows =
     List.map
       (fun op ->
@@ -169,10 +171,10 @@ let fig11 suites =
         List.map
           (fun s ->
             match (get s op).System.commit with
-            | None -> [ op; s.sys.System.name; "-"; "-"; "-"; "-"; "-" ]
+            | None -> [ op; s.name; "-"; "-"; "-"; "-"; "-" ]
             | Some c ->
               [ op
-              ; s.sys.System.name
+              ; s.name
               ; Report.seconds (Measure.cat c Cat.Diff)
               ; Report.seconds (Measure.cat c Cat.Log_write)
               ; Report.seconds (Measure.cat c Cat.Map_update)
@@ -216,7 +218,7 @@ let table7 suites =
       let total = List.fold_left (fun a (_, x) -> a +. x) 0.0 rows in
       List.map (fun (n, x) -> (n, if total = 0.0 then 0.0 else 100.0 *. x /. total)) rows
   in
-  let profs = List.map (fun s -> (s.sys.System.name, profile s)) suites in
+  let profs = List.map (fun s -> (s.name, profile s)) suites in
   let names = [ "EPVM 3.0"; "malloc"; "part set"; "traverse"; "pointer deref"; "misc." ] in
   let rows =
     List.map
@@ -251,7 +253,7 @@ let table9 suites =
     ~paper:Paper_data.table9 suites
 
 let fig16 suites =
-  let header = "op" :: List.map (fun s -> s.sys.System.name ^ " (s)") suites in
+  let header = "op" :: List.map (fun s -> s.name ^ " (s)") suites in
   let rows =
     List.map
       (fun op ->

@@ -1,30 +1,13 @@
-(* Bench-shape gate: regenerate the committed OO7 small-database
-   baselines (per-op times, I/O counts, fault counts and win/loss
-   orderings) and fail on any byte of drift. Three baselines:
-   BENCH_oo7.json is the stock configuration; BENCH_oo7_prefetch.json
-   is QS with fault-time page-run prefetch + group commit against a
-   stock E control, pinning both the batched savings and E's
-   non-participation; BENCH_oo7_diffship.json is QS with the
-   diff-shipping commit (region ships + WAL-force pipelining) against
-   the same stock E control, pinning the region-ship byte savings;
-   BENCH_oo7_multi.json is the multi-user hot-page-skew workload at 1,
-   2 and 4 simulated clients under the deterministic scheduler,
-   pinning commit/retry/lock-wait counts and the trace digest (i.e.
-   the interleaving itself); BENCH_oo7_callback.json runs the 4-client
-   workload under both cache-consistency regimes, pinning the retained
-   hits and server reads saved by callback locking next to the reset
-   baseline; BENCH_oo7_snapshot.json runs the 4-client workload at 80%
-   read-only scans under both read regimes — locking scans vs MVCC
-   snapshot bodies — pinning the reader lock-wait collapse and the
-   world-digest equality that proves writer effects are byte-identical;
-   BENCH_index.json builds the log-structured index and the small-fan-out
-   B-tree oracle at growing scales and probes cold lookups, pinning the
-   flat per-lookup cost (and the under-2x spread summary) next to the
-   B-tree's depth growth.
-   The simulation is deterministic, so times are
-   compared exactly, not within a tolerance — any change to a committed
-   file must be a deliberate, reviewed re-baseline
-   (dune exec bench/main.exe -- quick no-bech --json).
+(* Bench-shape gate: regenerate every committed BENCH_*.json baseline
+   and fail on any byte of drift. The baselines are the regime table in
+   lib/harness/bench_json.ml ([Bench_json.regimes]); this test renders
+   each regime and byte-compares it with its committed file. The
+   simulation is deterministic, so times are compared exactly, not
+   within a tolerance — any change to a committed file must be a
+   deliberate, reviewed re-baseline
+   (dune exec bench/main.exe -- quick no-bech --json). Measuring an OO7
+   regime also checks every system's per-op answers against stock QS
+   ([Bench_json.Wrong_answer] fails the test).
 
    Runs as a plain executable test: exit 0 on match, exit 1 with the
    first differing line otherwise. *)
@@ -78,24 +61,12 @@ let check ~name regenerated =
   end
 
 let () =
-  let seed = 1234 in
   let progress m = Printf.printf "%s\n%!" m in
-  let suites = Harness.Bench_json.small_suites ~progress ~seed () in
-  check ~name:"BENCH_oo7.json" (Harness.Bench_json.render_small ~seed suites);
-  let prefetch_suites = Harness.Bench_json.small_prefetch_suites ~progress ~seed () in
-  check ~name:"BENCH_oo7_prefetch.json"
-    (Harness.Bench_json.render_small_prefetch ~seed prefetch_suites);
-  let diffship_suites = Harness.Bench_json.small_diffship_suites ~progress ~seed () in
-  check ~name:"BENCH_oo7_diffship.json"
-    (Harness.Bench_json.render_small_diffship ~seed diffship_suites);
-  let multi_runs = Harness.Bench_json.multi_runs ~progress ~seed () in
-  check ~name:"BENCH_oo7_multi.json" (Harness.Bench_json.render_multi ~seed multi_runs);
-  let callback_runs = Harness.Bench_json.callback_runs ~progress ~seed () in
-  check ~name:"BENCH_oo7_callback.json" (Harness.Bench_json.render_callback ~seed callback_runs);
-  let snapshot_runs = Harness.Bench_json.snapshot_runs ~progress ~seed () in
-  check ~name:"BENCH_oo7_snapshot.json" (Harness.Bench_json.render_snapshot ~seed snapshot_runs);
-  let index_runs = Harness.Bench_json.index_runs ~progress ~seed () in
-  check ~name:"BENCH_index.json" (Harness.Bench_json.render_index ~seed index_runs);
+  List.iter
+    (fun (r : Harness.Bench_json.regime) ->
+      check ~name:r.Harness.Bench_json.file
+        (Harness.Bench_json.render (Harness.Bench_json.measure ~progress r)))
+    Harness.Bench_json.regimes;
   (* The committed baseline must itself carry the tentpole claim: the
      summary field is data, so a re-baseline that loses flatness fails
      here even though the bytes match. *)

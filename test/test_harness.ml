@@ -104,6 +104,34 @@ let test_deterministic_measurements () =
   Alcotest.(check int) "same I/O" r1.Sys_.cold.Measure.client_reads r2.Sys_.cold.Measure.client_reads;
   Alcotest.(check int) "same result" r1.Sys_.cold.Measure.result r2.Sys_.cold.Measure.result
 
+module Bj = Harness.Bench_json
+
+(* A wrong answer fails the bench-shape gate instead of printing a
+   warning: two systems that agree pass, one that disagrees on an op
+   raises [Wrong_answer]. *)
+let test_answers_must_agree () =
+  let qs = Exp.run_suite ~seed ~hot_reps:0 (Lazy.force sys) ~ops:[ "T1"; "Q1" ] in
+  let e = Exp.run_suite ~seed ~hot_reps:0 (Lazy.force e_sys) ~ops:[ "T1"; "Q1" ] in
+  Bj.check_answers ~oracle:qs [ qs; e ];
+  let wrong =
+    { e with
+      Exp.results =
+        List.map
+          (fun (op, (r : Sys_.run_result)) ->
+            let cold = r.Sys_.cold in
+            let wrong_cold = { cold with Measure.result = cold.Measure.result + 1 } in
+            if op = "Q1" then (op, { r with Sys_.cold = wrong_cold }) else (op, r))
+          e.Exp.results }
+  in
+  match Bj.check_answers ~oracle:qs [ qs; wrong ] with
+  | () -> Alcotest.fail "a disagreeing suite passed the answer check"
+  | exception Bj.Wrong_answer msg ->
+    let q1 = (Exp.get e "Q1").Sys_.cold.Measure.result in
+    Alcotest.(check string) "names system, op and both answers"
+      (Printf.sprintf "%s answers Q1 with %d, %s with %d" e.Exp.name (q1 + 1)
+         qs.Exp.name q1)
+      msg
+
 let () =
   Alcotest.run "harness"
     [ ( "harness"
@@ -112,4 +140,5 @@ let () =
         ; Alcotest.test_case "run protocol" `Quick test_run_protocol
         ; Alcotest.test_case "suites and tables" `Quick test_suite_and_tables
         ; Alcotest.test_case "reattach shares db" `Quick test_reattach_shares_database
-        ; Alcotest.test_case "deterministic" `Quick test_deterministic_measurements ] ) ]
+        ; Alcotest.test_case "deterministic" `Quick test_deterministic_measurements
+        ; Alcotest.test_case "wrong answers fail" `Quick test_answers_must_agree ] ) ]
